@@ -18,9 +18,9 @@ const DefaultBusSkew = 8192
 
 // viewChunk is how many ring slots a view leases per lock acquisition.
 // Leasing amortises the bus mutex over the pipeline's one-instruction-at-a-
-// time Next calls; leased records are served by reference straight out of
-// the shared ring, so N consumers share one copy of every record instead of
-// each copying the chunk into private storage.
+// time NextInto calls; leased records are read straight out of the shared
+// ring into each consumer's own slot, so N consumers share one buffered copy
+// of every record instead of each copying the chunk into private storage.
 const viewChunk = 64
 
 // Broadcast fans one TraceSource out to N lockstep consumers: a single
@@ -43,7 +43,7 @@ const viewChunk = 64
 // ring head at or below every leased slot — a slot is never recycled while
 // a consumer may still be reading it.
 //
-// Views must all be created before the first Next; a consumer that stops
+// Views must all be created before the first read; a consumer that stops
 // early (error, cancellation) must Close its view or its stalled cursor
 // blocks the others forever. The bus is safe for one goroutine per view;
 // each individual view keeps TraceSource's single-consumer contract.
@@ -52,8 +52,6 @@ type Broadcast struct {
 	cond sync.Cond
 
 	src     TraceSource
-	refSrc  RefSource  // src when it supports zero-copy delivery, else nil
-	intoSrc IntoSource // src when it can produce straight into the ring, else nil
 	name    string
 	maxSkew int
 
@@ -76,14 +74,12 @@ func NewBroadcast(src TraceSource, maxSkew int) *Broadcast {
 		maxSkew = DefaultBusSkew
 	}
 	b := &Broadcast{src: src, name: src.Name(), maxSkew: maxSkew}
-	b.refSrc, _ = src.(RefSource)
-	b.intoSrc, _ = src.(IntoSource)
 	b.cond.L = &b.mu
 	return b
 }
 
 // View hands out one consumer's TraceSource over the shared stream. All
-// views must be created before any of them calls Next — a late joiner would
+// views must be created before any of them reads — a late joiner would
 // have already missed released records — so View panics once consumption
 // has started.
 func (b *Broadcast) View() *BusView {
@@ -169,17 +165,9 @@ func (b *Broadcast) commitSlotLocked() {
 	}
 }
 
-// pushLocked appends one record to the ring by copy. The caller has already
-// enforced the skew bound and advanced the head, so occupancy stays within
-// the fixed storage. Callers hold b.mu.
-func (b *Broadcast) pushLocked(d *DynInst) {
-	*b.slotLocked() = *d
-	b.commitSlotLocked()
-}
-
 // BusView is one consumer's pull-based view of a Broadcast stream: a
 // TraceSource delivering exactly the records the underlying source produces,
-// in order, with its own Counts. Next blocks when this consumer would exceed
+// in order, with its own Counts. NextInto blocks when this consumer would exceed
 // the bus skew bound; Close detaches the consumer so siblings stop waiting
 // for it.
 type BusView struct {
@@ -201,40 +189,36 @@ type BusView struct {
 // Name identifies the shared underlying program.
 func (v *BusView) Name() string { return v.b.name }
 
-// Next delivers this consumer's next dynamic instruction by value, or false
-// once the shared stream is exhausted (or the view was closed).
+// Next implements TraceSource over NextInto.
 func (v *BusView) Next() (DynInst, bool) {
-	d, ok := v.NextRef()
-	if !ok {
+	var d DynInst
+	if !v.NextInto(&d) {
 		return DynInst{}, false
 	}
-	return *d, true
+	return d, true
 }
 
-// NextRef delivers a pointer to this consumer's next dynamic instruction,
-// valid until the next NextRef or Next call (the record lives in the shared
-// ring; advancing past it eventually recycles the slot). When the lease
-// runs dry it takes a new one — pulling the underlying source when this
-// consumer is the first to need a record, blocking when the skew bound says
-// the slowest consumer must catch up first.
-func (v *BusView) NextRef() (*DynInst, bool) {
-	if v.pos < v.n {
-		d := &v.b.buf[(v.cursor+int64(v.pos))&v.mask]
-		v.pos++
-		v.counts.add(d)
-		return d, true
+// NextInto copies this consumer's next dynamic instruction out of the
+// shared ring into *d, or reports false once the shared stream is exhausted
+// (or the view was closed). The ring slot itself is never handed out, so a
+// consumer may mutate its copy freely. When the lease runs dry it takes a
+// new one — pulling the underlying source when this consumer is the first
+// to need a record, blocking when the skew bound says the slowest consumer
+// must catch up first.
+func (v *BusView) NextInto(d *DynInst) bool {
+	if v.pos >= v.n {
+		if v.ended {
+			return false
+		}
+		if !v.refill() {
+			v.ended = true
+			return false
+		}
 	}
-	if v.ended {
-		return nil, false
-	}
-	if !v.refill() {
-		v.ended = true
-		return nil, false
-	}
-	d := &v.b.buf[(v.cursor+int64(v.pos))&v.mask]
+	*d = v.b.buf[(v.cursor+int64(v.pos))&v.mask]
 	v.pos++
 	v.counts.add(d)
-	return d, true
+	return true
 }
 
 // refill retires the current lease and takes the next one, reporting false
@@ -284,7 +268,7 @@ func (v *BusView) refill() bool {
 				continue
 			}
 		}
-		// Keep the head no staler than the skew check, so pushLocked's
+		// Keep the head no staler than the skew check, so pullLocked's
 		// occupancy (peak metric and overflow check) stays within the bound.
 		b.advanceHeadLocked(min)
 		if !b.pullLocked() {
@@ -298,25 +282,14 @@ func (v *BusView) refill() bool {
 	return v.n > 0
 }
 
-// pullLocked draws one record from the underlying source into the ring — by
-// reference when the source supports zero-copy delivery (the ring copy
-// happens immediately, within the pointee's validity window), by value
-// otherwise — and records end-of-stream. Callers hold b.mu.
+// pullLocked draws one record from the underlying source straight into the
+// next ring slot — the live-emulator feed has zero DynInst copies on the
+// producer side — and records end-of-stream. The caller has already
+// enforced the skew bound and advanced the head, so occupancy stays within
+// the fixed storage. Callers hold b.mu.
 func (b *Broadcast) pullLocked() bool {
-	if b.intoSrc != nil {
-		// The source writes straight into the ring slot: the live-emulator
-		// feed has zero DynInst copies on the producer side.
-		if b.intoSrc.NextInto(b.slotLocked()) {
-			b.commitSlotLocked()
-			return true
-		}
-	} else if b.refSrc != nil {
-		if d, ok := b.refSrc.NextRef(); ok {
-			b.pushLocked(d)
-			return true
-		}
-	} else if d, ok := b.src.Next(); ok {
-		b.pushLocked(&d)
+	if b.src.NextInto(b.slotLocked()) {
+		b.commitSlotLocked()
 		return true
 	}
 	b.eof = true
@@ -348,7 +321,7 @@ func (v *BusView) Counts() Counts { return v.counts }
 // release and any sibling blocked on the skew bound wakes up. A consumer
 // that abandons the stream early (simulation error, cancellation) must call
 // Close, or the stalled cursor blocks every other view forever. Close is
-// idempotent; Next returns false after it.
+// idempotent; NextInto returns false after it.
 func (v *BusView) Close() {
 	b := v.b
 	b.mu.Lock()

@@ -26,7 +26,7 @@ func synthTrace(n int) *Trace {
 			Addr:   int64(i * 8),
 		}
 		tr.Insts = append(tr.Insts, d)
-		tr.count(d)
+		tr.count(&d)
 	}
 	return tr
 }
@@ -203,12 +203,19 @@ type faultingSource struct {
 
 func (s *faultingSource) Name() string { return s.tr.Name }
 func (s *faultingSource) Next() (DynInst, bool) {
-	if s.pos >= len(s.tr.Insts) {
+	var d DynInst
+	if !s.NextInto(&d) {
 		return DynInst{}, false
 	}
-	d := s.tr.Insts[s.pos]
-	s.pos++
 	return d, true
+}
+func (s *faultingSource) NextInto(d *DynInst) bool {
+	if s.pos >= len(s.tr.Insts) {
+		return false
+	}
+	*d = s.tr.Insts[s.pos]
+	s.pos++
+	return true
 }
 func (s *faultingSource) Err() error     { return &MemError{Addr: 4, PC: 2} }
 func (s *faultingSource) Counts() Counts { return Counts{} }

@@ -34,50 +34,32 @@ func (c *Counts) add(d *DynInst) {
 // the live emulator produces instructions on demand, so a consumer that
 // keeps only a sliding window runs in O(window) space instead of O(trace).
 //
-// Next returns the next instruction and true, or a zero value and false once
-// the stream is exhausted. After Next returns false, Err reports whether the
-// stream ended on a memory exception (or other execution error) rather than
-// a clean halt; a faulting access is still delivered (with Trap set) before
-// the stream ends. Sources are single-consumer and not safe for concurrent
-// use.
+// NextInto is the one delivery method: it fully overwrites caller-owned
+// storage with the next record, so the live emulator executes straight into
+// the consumer's slot (a window arena record, a broadcast ring slot) and
+// every other source writes its record into it once. Once NextInto returns
+// false the stream is exhausted and Err reports whether it ended on a memory
+// exception (or other execution error) rather than a clean halt; a faulting
+// access is still delivered (with Trap set) before the stream ends. Sources
+// are single-consumer and not safe for concurrent use.
+//
+// Next is NextInto into a fresh value, kept only for callers outside this
+// module that drain a stream by value; every source implements it as the
+// same wrapper over its own NextInto, and nothing in the module calls it.
 type TraceSource interface {
 	// Name identifies the program the stream executes.
 	Name() string
-	// Next delivers the next dynamic instruction, or false at end of stream.
+	// NextInto fully overwrites *d with the next dynamic instruction and
+	// reports whether one was produced. On false *d holds garbage.
+	NextInto(d *DynInst) bool
+	// Next delivers the next dynamic instruction by value, or a zero value
+	// and false at end of stream. It advances the same stream and counts
+	// as NextInto.
 	Next() (DynInst, bool)
-	// Err reports the terminal error, if any, once Next has returned false.
+	// Err reports the terminal error, if any, once the stream has ended.
 	Err() error
 	// Counts summarises the instructions delivered so far.
 	Counts() Counts
-}
-
-// RefSource is an optional TraceSource extension for zero-copy delivery:
-// NextRef returns a pointer to the next dynamic instruction instead of a
-// ~100-byte value copy. The pointee is owned by the source and is only
-// guaranteed until the consumer's next NextRef or Next call — consumers that
-// retain a record (the pipeline's sliding window) copy it into their own
-// storage exactly once. Implementations must keep NextRef and Next
-// interchangeable call-by-call: both advance the same stream and counts.
-type RefSource interface {
-	TraceSource
-	// NextRef delivers a pointer to the next dynamic instruction, or false
-	// at end of stream. The pointer is invalidated by the next NextRef or
-	// Next call.
-	NextRef() (*DynInst, bool)
-}
-
-// IntoSource is an optional TraceSource extension for sources that can
-// produce the next record directly into caller-owned storage, removing the
-// last copy on the source side: the live emulator executes straight into the
-// consumer's slot (a window arena record, a broadcast ring slot) instead of
-// into a private scratch record that the consumer then copies out. Sources
-// that merely hand out views of existing storage (materialized traces, bus
-// views) gain nothing from the form and implement only RefSource.
-type IntoSource interface {
-	// NextInto fully overwrites *d with the next dynamic instruction and
-	// reports whether one was produced. On false *d holds garbage. NextInto
-	// advances the same stream and counts as Next/NextRef.
-	NextInto(d *DynInst) bool
 }
 
 // machineSource streams a live emulator, bounded by maxInsts.
@@ -87,14 +69,13 @@ type machineSource struct {
 	counts   Counts
 	err      error
 	done     bool
-	d        DynInst // NextRef scratch: one record, reused per delivery
 }
 
 // NewSource returns a TraceSource that executes the machine on demand: each
-// Next steps the emulator once, until halt, a memory exception, or maxInsts
-// dynamic instructions. On a memory exception the faulting instruction is
-// delivered (Trap set) and the stream then ends with Err returning the
-// *MemError.
+// delivery steps the emulator once, until halt, a memory exception, or
+// maxInsts dynamic instructions. On a memory exception the faulting
+// instruction is delivered (Trap set) and the stream then ends with Err
+// returning the *MemError.
 func NewSource(m *Machine, maxInsts int64) TraceSource {
 	return &machineSource{m: m, maxInsts: maxInsts}
 }
@@ -102,18 +83,11 @@ func NewSource(m *Machine, maxInsts int64) TraceSource {
 func (s *machineSource) Name() string { return s.m.img.Name }
 
 func (s *machineSource) Next() (DynInst, bool) {
-	d, ok := s.NextRef()
-	if !ok {
+	var d DynInst
+	if !s.NextInto(&d) {
 		return DynInst{}, false
 	}
-	return *d, true
-}
-
-func (s *machineSource) NextRef() (*DynInst, bool) {
-	if !s.NextInto(&s.d) {
-		return nil, false
-	}
-	return &s.d, true
+	return d, true
 }
 
 func (s *machineSource) NextInto(d *DynInst) bool {
@@ -154,21 +128,21 @@ func (tr *Trace) Source() TraceSource { return &traceSource{tr: tr} }
 func (s *traceSource) Name() string { return s.tr.Name }
 
 func (s *traceSource) Next() (DynInst, bool) {
-	d, ok := s.NextRef()
-	if !ok {
+	var d DynInst
+	if !s.NextInto(&d) {
 		return DynInst{}, false
 	}
-	return *d, true
+	return d, true
 }
 
-func (s *traceSource) NextRef() (*DynInst, bool) {
+func (s *traceSource) NextInto(d *DynInst) bool {
 	if s.pos >= len(s.tr.Insts) {
-		return nil, false
+		return false
 	}
-	d := &s.tr.Insts[s.pos]
+	*d = s.tr.Insts[s.pos]
 	s.pos++
 	s.counts.add(d)
-	return d, true
+	return true
 }
 
 func (s *traceSource) Err() error     { return nil }
@@ -180,13 +154,10 @@ func (s *traceSource) Counts() Counts { return s.counts }
 // multicore barrier validator) keep the exact semantics of Machine.Run.
 func Materialize(src TraceSource) (*Trace, error) {
 	tr := &Trace{Name: src.Name()}
-	for {
-		d, ok := src.Next()
-		if !ok {
-			break
-		}
+	var d DynInst
+	for src.NextInto(&d) {
 		tr.Insts = append(tr.Insts, d)
-		tr.count(d)
+		tr.count(&d)
 	}
 	return tr, src.Err()
 }

@@ -26,48 +26,78 @@ func sourceTestImage(t *testing.T) *program.Image {
 	return img
 }
 
-// TestSourceMatchesRun: the streaming source delivers exactly the
-// instruction stream Machine.Run materializes, with matching counts.
+// TestSourceMatchesRun: every source kind — the live machine, a replayed
+// materialized trace and a broadcast bus view — delivers exactly the
+// instruction stream Machine.Run materializes, with matching counts, and
+// its NextInto and Next forms are interchangeable: the same records, Counts
+// and Err either way.
 func TestSourceMatchesRun(t *testing.T) {
 	img := sourceTestImage(t)
 	want, err := New(img).Run(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inputs := []struct {
+		name string
+		open func() TraceSource
+	}{
+		{"machine", func() TraceSource { return NewSource(New(img), 1<<20) }},
+		{"trace", func() TraceSource { return want.Source() }},
+		{"bus", func() TraceSource { return NewBroadcast(NewSource(New(img), 1<<20), 16).View() }},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			byInto, byValue := in.open(), in.open()
+			if byInto.Name() != want.Name {
+				t.Errorf("source name %q, want %q", byInto.Name(), want.Name)
+			}
+			var got []DynInst
+			var d DynInst
+			for byInto.NextInto(&d) {
+				got = append(got, d)
+			}
+			if byInto.Err() != nil {
+				t.Fatalf("source error: %v", byInto.Err())
+			}
+			if len(got) != want.Len() {
+				t.Fatalf("source delivered %d instructions, Run materialized %d", len(got), want.Len())
+			}
+			for i := range got {
+				if got[i] != want.Insts[i] {
+					t.Fatalf("instruction %d differs: %+v vs %+v", i, got[i], want.Insts[i])
+				}
+			}
+			c := byInto.Counts()
+			if c.Insts != int64(want.Len()) || c.Branches != want.Branches ||
+				c.Loads != want.Loads || c.Stores != want.Stores || c.Setup != want.Setup {
+				t.Errorf("counts %+v inconsistent with trace (%d insts, %d br, %d ld, %d st, %d setup)",
+					c, want.Len(), want.Branches, want.Loads, want.Stores, want.Setup)
+			}
+			// NextInto after exhaustion stays exhausted.
+			if byInto.NextInto(&d) {
+				t.Error("NextInto returned an instruction after end of stream")
+			}
 
-	src := NewSource(New(img), 1<<20)
-	if src.Name() != want.Name {
-		t.Errorf("source name %q, want %q", src.Name(), want.Name)
-	}
-	var got []DynInst
-	for {
-		d, ok := src.Next()
-		if !ok {
-			break
-		}
-		got = append(got, d)
-	}
-	if src.Err() != nil {
-		t.Fatalf("source error: %v", src.Err())
-	}
-	if len(got) != want.Len() {
-		t.Fatalf("source delivered %d instructions, Run materialized %d", len(got), want.Len())
-	}
-	for i := range got {
-		if got[i] != want.Insts[i] {
-			t.Fatalf("instruction %d differs: %+v vs %+v", i, got[i], want.Insts[i])
-		}
-	}
-	c := src.Counts()
-	if c.Insts != int64(want.Len()) || c.Branches != want.Branches ||
-		c.Loads != want.Loads || c.Stores != want.Stores || c.Setup != want.Setup {
-		t.Errorf("counts %+v inconsistent with trace (%d insts, %d br, %d ld, %d st, %d setup)",
-			c, want.Len(), want.Branches, want.Loads, want.Stores, want.Setup)
-	}
-
-	// Next after exhaustion stays exhausted.
-	if _, ok := src.Next(); ok {
-		t.Error("Next returned an instruction after end of stream")
+			for i := 0; ; i++ {
+				v, ok := byValue.Next()
+				if !ok {
+					if i != len(got) {
+						t.Fatalf("Next delivered %d instructions, NextInto %d", i, len(got))
+					}
+					if v != (DynInst{}) {
+						t.Errorf("Next at end of stream returned non-zero %+v", v)
+					}
+					break
+				}
+				if i >= len(got) || v != got[i] {
+					t.Fatalf("Next instruction %d differs from NextInto's", i)
+				}
+			}
+			if byValue.Counts() != byInto.Counts() || byValue.Err() != byInto.Err() {
+				t.Errorf("Next form: counts %+v err %v, NextInto form: counts %+v err %v",
+					byValue.Counts(), byValue.Err(), byInto.Counts(), byInto.Err())
+			}
+		})
 	}
 }
 

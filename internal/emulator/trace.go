@@ -39,7 +39,7 @@ func (m *Machine) Run(maxInsts int64) (*Trace, error) {
 	return Materialize(NewSource(m, maxInsts))
 }
 
-func (tr *Trace) count(d DynInst) {
+func (tr *Trace) count(d *DynInst) {
 	switch {
 	case d.Inst.Op.IsCondBranch():
 		tr.Branches++

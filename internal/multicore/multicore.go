@@ -136,7 +136,9 @@ func New(cfg Config, inputs []CoreInput) (*System, error) {
 }
 
 // offsetSource shifts every memory address in the stream by delta (a
-// distinct physical address space for one core) without copying the stream.
+// distinct physical address space for one core) without copying the stream:
+// the shift is applied to the consumer's own record after the underlying
+// source has written it, so a shared trace or bus ring is never mutated.
 type offsetSource struct {
 	src   emulator.TraceSource
 	delta int64
@@ -145,11 +147,21 @@ type offsetSource struct {
 func (s *offsetSource) Name() string { return s.src.Name() }
 
 func (s *offsetSource) Next() (emulator.DynInst, bool) {
-	d, ok := s.src.Next()
-	if ok && d.Inst.Op.IsMem() {
+	var d emulator.DynInst
+	if !s.NextInto(&d) {
+		return emulator.DynInst{}, false
+	}
+	return d, true
+}
+
+func (s *offsetSource) NextInto(d *emulator.DynInst) bool {
+	if !s.src.NextInto(d) {
+		return false
+	}
+	if d.Inst.Op.IsMem() {
 		d.Addr += s.delta
 	}
-	return d, ok
+	return true
 }
 
 func (s *offsetSource) Err() error              { return s.src.Err() }

@@ -213,3 +213,51 @@ func TestSanitizedSystemClean(t *testing.T) {
 		t.Fatalf("sanitized multicore run failed: %v", err)
 	}
 }
+
+// panicNext is a source whose by-value Next must never be reached: the
+// pipeline and every wrapper deliver through NextInto. Embedding promotes
+// the inner source's NextInto, Name, Err and Counts.
+type panicNext struct{ emulator.TraceSource }
+
+func (panicNext) Next() (emulator.DynInst, bool) {
+	panic("Next called: delivery fell back to the by-value path")
+}
+
+// TestOffsetSourceDeliversThroughNextInto: offsetSource forwards NextInto to
+// its source, never the by-value Next, shifts exactly the memory addresses
+// in the consumer's own record, and leaves the shared trace it reads from
+// untouched while a pipeline core drains it.
+func TestOffsetSourceDeliversThroughNextInto(t *testing.T) {
+	const delta = 1 << 32
+	in, tr := inputFor(t, "mcf", 200)
+	orig := append([]emulator.DynInst(nil), tr.Insts...)
+
+	src := &offsetSource{src: panicNext{tr.Source()}, delta: delta}
+	var d emulator.DynInst
+	for i := 0; src.NextInto(&d); i++ {
+		want := orig[i]
+		if want.Inst.Op.IsMem() {
+			want.Addr += delta
+		}
+		if d != want {
+			t.Fatalf("record %d: got %+v, want %+v", i, d, want)
+		}
+	}
+	if src.Counts().Insts != int64(len(orig)) {
+		t.Fatalf("delivered %d records, want %d", src.Counts().Insts, len(orig))
+	}
+
+	core := pipeline.NewCoreFromSource(coreCfg(pipeline.Noreba), &offsetSource{src: panicNext{tr.Source()}, delta: delta}, in.Meta)
+	st, err := core.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Committed == 0 {
+		t.Fatal("core committed nothing")
+	}
+	for i := range orig {
+		if tr.Insts[i] != orig[i] {
+			t.Fatalf("shared trace record %d mutated: %+v, was %+v", i, tr.Insts[i], orig[i])
+		}
+	}
+}

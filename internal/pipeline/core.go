@@ -350,11 +350,8 @@ func (c *Core) WarmFunctional(src emulator.TraceSource, insts int64, clock func(
 		const warmCPI = 2 // nominal cycles per instruction
 		clock = func(i int64) int64 { return -warmCPI * (insts - 1 - i) }
 	}
-	for i := int64(0); ; i++ {
-		d, ok := src.Next()
-		if !ok {
-			return
-		}
+	var d emulator.DynInst
+	for i := int64(0); src.NextInto(&d); i++ {
 		warmCycle := clock(i)
 		c.icache.Access(int64(d.PC)*4, warmCycle)
 		if d.Inst.Op.IsMem() {
@@ -396,11 +393,8 @@ func (c *Core) WarmFunctional(src emulator.TraceSource, insts int64, clock func(
 // dedicated Core that is never stepped.
 func (c *Core) FingerprintFunctional(src emulator.TraceSource, visit func(memExtra int64, mispred bool)) {
 	var cycle int64
-	for {
-		d, ok := src.Next()
-		if !ok {
-			return
-		}
+	var d emulator.DynInst
+	for src.NextInto(&d) {
 		cycle++
 		var memExtra int64
 		mispred := false

@@ -57,10 +57,8 @@ type recChunk [chunkSize]instRecord
 // chunks with no per-record motion — a resident record's address is stable
 // from load to release.
 type window struct {
-	src     emulator.TraceSource
-	refSrc  emulator.RefSource  // src when it supports zero-copy delivery, else nil
-	intoSrc emulator.IntoSource // src when it can produce straight into the arena, else nil
-	deps    *depTracker
+	src  emulator.TraceSource
+	deps *depTracker
 
 	chunks    []*recChunk // directory; live span is chunks[chead : chead+cn]
 	chead, cn int
@@ -75,10 +73,7 @@ type window struct {
 }
 
 func newWindow(src emulator.TraceSource, bitSize int) *window {
-	w := &window{src: src, deps: newDepTracker(bitSize)}
-	w.refSrc, _ = src.(emulator.RefSource)
-	w.intoSrc, _ = src.(emulator.IntoSource)
-	return w
+	return &window{src: src, deps: newDepTracker(bitSize)}
 }
 
 // ensure pulls from the source until trace index idx is loaded, returning
@@ -116,27 +111,11 @@ func (w *window) fill(idx int) bool {
 		}
 		for s := lo; s < hi; s++ {
 			r := &ch[s]
-			if w.intoSrc != nil {
-				// The source writes the record straight into its arena
-				// slot: the live emulator path has zero DynInst copies.
-				if !w.intoSrc.NextInto(&r.d) {
-					w.eof = true
-					return false
-				}
-			} else if w.refSrc != nil {
-				d, ok := w.refSrc.NextRef()
-				if !ok {
-					w.eof = true
-					return false
-				}
-				r.d = *d
-			} else {
-				d, ok := w.src.Next()
-				if !ok {
-					w.eof = true
-					return false
-				}
-				r.d = d
+			// The source writes the record straight into its arena slot:
+			// the live emulator path has zero DynInst copies.
+			if !w.src.NextInto(&r.d) {
+				w.eof = true
+				return false
 			}
 			r.dep = w.deps.next(&r.d)
 			op := r.d.Inst.Op

@@ -24,7 +24,7 @@ import (
 // discarded with it).
 func fingerprintDims(ctx context.Context, src emulator.TraceSource, meta *compiler.Meta, prof *Profile) [][]float64 {
 	cfg := pipeline.SkylakeConfig()
-	src = &cancellableSource{TraceSource: src, ctx: ctx}
+	src = &cancellableSource{src: src, ctx: ctx}
 	core := pipeline.NewCoreFromSource(cfg, src, meta)
 
 	n := len(prof.Intervals)
@@ -66,18 +66,31 @@ func fingerprintDims(ctx context.Context, src emulator.TraceSource, meta *compil
 // their own (FingerprintFunctional drains its source to the end) wrap their
 // source in one so a cancelled build does not replay the whole stream.
 type cancellableSource struct {
-	emulator.TraceSource
+	src emulator.TraceSource
 	ctx context.Context
 	n   int
 }
 
+func (s *cancellableSource) Name() string { return s.src.Name() }
+
 func (s *cancellableSource) Next() (emulator.DynInst, bool) {
-	s.n++
-	if s.n&4095 == 0 && s.ctx.Err() != nil {
+	var d emulator.DynInst
+	if !s.NextInto(&d) {
 		return emulator.DynInst{}, false
 	}
-	return s.TraceSource.Next()
+	return d, true
 }
+
+func (s *cancellableSource) NextInto(d *emulator.DynInst) bool {
+	s.n++
+	if s.n&4095 == 0 && s.ctx.Err() != nil {
+		return false
+	}
+	return s.src.NextInto(d)
+}
+
+func (s *cancellableSource) Err() error              { return s.src.Err() }
+func (s *cancellableSource) Counts() emulator.Counts { return s.src.Counts() }
 
 // normalizeMean1 rescales a non-negative column to mean 1, or returns nil
 // for a column with no mass.

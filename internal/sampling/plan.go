@@ -72,13 +72,13 @@ type Rep struct {
 	WarmSnap emulator.Snapshot
 
 	// delta, when non-nil, marks Snap and WarmSnap as still holding only
-	// the v2 plan file's delta sections (memory entries that differ from
+	// the plan file's delta sections (memory entries that differ from
 	// the image) plus these tombstones; LoadPlan materializes the full maps
 	// against the bound image and clears the marker. See planfile.go.
 	delta *repDeltaState
 }
 
-// repDeltaState carries the v2 delta sections' tombstones — image addresses
+// repDeltaState carries the plan file's delta-section tombstones — image addresses
 // absent from the checkpoint — between decode and bind time. Plans built by
 // BuildPlan never need it (a machine's memory is a superset of the image's
 // initial data), but the format keeps deletion representable so a delta

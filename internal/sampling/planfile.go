@@ -38,31 +38,30 @@ import (
 //	rep count; per rep the scalar fields, pilot columns, Snap, WarmSnap
 //	end marker u8 0xE7, then EOF
 //
-// Version 2 changes only the snapshot sections: instead of the machine's
-// full memory maps, each checkpoint stores the delta against the program
-// image's initial data — changed/new entries as sorted (addr, value) pairs,
-// then tombstones (image addresses absent from the checkpoint) as a sorted
-// address list, for Mem (vs Data) and FMem (vs FData) in turn. Checkpoints
-// share almost all of their memory with the image they were captured from,
-// so the delta cuts both the file size and the dominant decode cost of the
-// warm sampled loop (rebuilding per-rep memory maps). The reader still
-// accepts version 1 in full-map form: a stored plan is rebuilt only when
-// its content is stale, never because the container format moved on.
+// A checkpoint stores its registers, PC, Seq and Halted flag, then its
+// memory as the delta against the program image's initial data: changed or
+// new entries as sorted (addr, value) pairs, then tombstones (image
+// addresses absent from the checkpoint) as a sorted address list, for Mem
+// (vs Data) and FMem (vs FData) in turn. Checkpoints share almost all of
+// their memory with the image they were captured from, so the delta keeps
+// both the file size and the decode cost of the warm sampled loop
+// (rebuilding per-rep memory maps) small. The reader accepts exactly
+// PlanFileVersion: plan files are a cache, so a blob in any other version
+// is a miss and the plan is rebuilt.
 //
 // Maps (BBVs, snapshot memory) are written sorted by key, so encoding is
 // deterministic: one plan, one byte string, one content hash.
 const (
-	// PlanFileVersion is the NRPF format version new plans are written at.
-	// Readers accept planMinVersion..PlanFileVersion; anything else is
-	// rejected outright — a stale plan is rebuilt, never reinterpreted.
+	// PlanFileVersion is the NRPF format version plans are written at and
+	// the only one the reader accepts; anything else is rejected outright —
+	// a stale plan is rebuilt, never reinterpreted.
 	PlanFileVersion = 2
-	planMinVersion  = 1
 
-	// planKeyTag is the version string folded into PlanKey. Deliberately
-	// frozen at v1: the v2 encoding changed the byte container (delta
-	// snapshots), not what a plan means, and the reader accepts both
-	// versions — so plans already in a content-addressed store stay warm
-	// across the format bump.
+	// planKeyTag is the string folded into PlanKey. It names what a plan
+	// means, not the byte container: its value predates PlanFileVersion 2,
+	// and keeping it unchanged keeps the version-2 plans already in
+	// content-addressed stores warm. Change it only when a plan's content
+	// changes meaning.
 	planKeyTag = "noreba-plan-v1"
 
 	planMagic = "NRPF"
@@ -150,10 +149,10 @@ func ImageHash(img *program.Image) [sha256.Size]byte {
 	return sum
 }
 
-// PlanKey returns the content-store key for a plan: sha256 over the format
-// version, the image hash, the stream bound and the normalized parameters.
-// Any change to the format, the program or the sampling configuration yields
-// a different key, so a stored plan can never be served to a request it was
+// PlanKey returns the content-store key for a plan: sha256 over planKeyTag,
+// the image hash, the stream bound and the normalized parameters. Any change
+// to the plan's meaning, the program or the sampling configuration yields a
+// different key, so a stored plan can never be served to a request it was
 // not built for.
 func PlanKey(img *program.Image, maxInsts int64, p Params) string {
 	p = p.Normalize()
@@ -213,36 +212,7 @@ func (w *planWriter) floats(fs []float64) {
 	}
 }
 
-// snapshotHead writes the fixed part of a checkpoint section, common to the
-// v1 (full-map) and v2 (delta) forms.
-func (w *planWriter) snapshotHead(s *emulator.Snapshot) {
-	for _, r := range s.IntRegs {
-		w.varint(r)
-	}
-	for _, r := range s.FPRegs {
-		w.float(r)
-	}
-	w.varint(int64(s.PC))
-	w.varint(s.Seq)
-	w.bool(s.Halted)
-}
-
-// snapshot writes the v1 checkpoint section: the full memory maps.
-func (w *planWriter) snapshot(s *emulator.Snapshot) {
-	w.snapshotHead(s)
-	w.uvarint(uint64(len(s.Mem)))
-	for _, a := range sortedKeys(s.Mem) {
-		w.varint(a)
-		w.varint(s.Mem[a])
-	}
-	w.uvarint(uint64(len(s.FMem)))
-	for _, a := range sortedFKeys(s.FMem) {
-		w.varint(a)
-		w.float(s.FMem[a])
-	}
-}
-
-// snapshotDelta writes the v2 checkpoint section: memory as a delta against
+// snapshotDelta writes a checkpoint section: memory as a delta against
 // the image's initial data. Changed or new entries are written as sorted
 // (addr, value) pairs; tombstones — base addresses absent from the snapshot
 // — as a sorted address list. When tombs/ftombs are non-nil they are written
@@ -253,7 +223,15 @@ func (w *planWriter) snapshot(s *emulator.Snapshot) {
 // data addresses — true of every plan BuildPlan produces, since a machine's
 // memory starts as the image data and never deletes.
 func (w *planWriter) snapshotDelta(s *emulator.Snapshot, base map[int64]int64, fbase map[int64]float64, tombs, ftombs []int64) {
-	w.snapshotHead(s)
+	for _, r := range s.IntRegs {
+		w.varint(r)
+	}
+	for _, r := range s.FPRegs {
+		w.float(r)
+	}
+	w.varint(int64(s.PC))
+	w.varint(s.Seq)
+	w.bool(s.Halted)
 
 	changed := make([]int64, 0, len(s.Mem))
 	for a, v := range s.Mem {
@@ -316,16 +294,10 @@ func (w *planWriter) bool(b bool) {
 
 // EncodePlan serialises the plan into the NRPF byte format. The encoding is
 // deterministic: equal plans produce equal bytes.
-func EncodePlan(pl *Plan) []byte { return encodePlanAt(pl, PlanFileVersion) }
-
-// encodePlanAt serialises at a specific format version. Production encoding
-// is always PlanFileVersion; the backward-compatibility tests use it to
-// produce genuine v1 bytes (valid only for plans holding full snapshot maps
-// — built or v1-decoded, not v2-decoded-unbound).
-func encodePlanAt(pl *Plan, version byte) []byte {
+func EncodePlan(pl *Plan) []byte {
 	w := &planWriter{}
 	w.buf.WriteString(planMagic)
-	w.u8(version)
+	w.u8(PlanFileVersion)
 	w.str(pl.Name)
 	p := pl.Params
 	w.varint(p.IntervalLen)
@@ -387,24 +359,19 @@ func encodePlanAt(pl *Plan, version byte) []byte {
 		w.varint(r.SrcBound)
 		w.floats(r.PilotRep)
 		w.floats(r.PilotCluster)
-		if version >= 2 {
-			var base map[int64]int64
-			var fbase map[int64]float64
-			var st, sft, wt, wft []int64
-			if pl.img != nil {
-				base, fbase = pl.img.Data, pl.img.FData
-			} else if r.delta != nil {
-				// Decoded v2 plan, not yet bound: the Mem maps hold just
-				// the delta; write it (and its tombstones) back verbatim.
-				st, sft = r.delta.snapTombs, r.delta.snapFTombs
-				wt, wft = r.delta.warmTombs, r.delta.warmFTombs
-			}
-			w.snapshotDelta(&r.Snap, base, fbase, st, sft)
-			w.snapshotDelta(&r.WarmSnap, base, fbase, wt, wft)
-		} else {
-			w.snapshot(&r.Snap)
-			w.snapshot(&r.WarmSnap)
+		var base map[int64]int64
+		var fbase map[int64]float64
+		var st, sft, wt, wft []int64
+		if pl.img != nil {
+			base, fbase = pl.img.Data, pl.img.FData
+		} else if r.delta != nil {
+			// Decoded plan, not yet bound: the Mem maps hold just the
+			// delta; write it (and its tombstones) back verbatim.
+			st, sft = r.delta.snapTombs, r.delta.snapFTombs
+			wt, wft = r.delta.warmTombs, r.delta.warmFTombs
 		}
+		w.snapshotDelta(&r.Snap, base, fbase, st, sft)
+		w.snapshotDelta(&r.WarmSnap, base, fbase, wt, wft)
 	}
 	w.u8(planEnd)
 	return w.buf.Bytes()
@@ -528,68 +495,7 @@ func (r *planReader) floats(what string) ([]float64, error) {
 	return out, nil
 }
 
-func (r *planReader) snapshot(what string) (emulator.Snapshot, error) {
-	var s emulator.Snapshot
-	var err error
-	for i := range s.IntRegs {
-		if v, err := r.varint(what + " int register"); err != nil {
-			return s, err
-		} else {
-			s.IntRegs[i] = v
-		}
-	}
-	for i := range s.FPRegs {
-		if s.FPRegs[i], err = r.float(what + " fp register"); err != nil {
-			return s, err
-		}
-	}
-	pc, err := r.varint(what + " pc")
-	if err != nil {
-		return s, err
-	}
-	s.PC = int(pc)
-	if s.Seq, err = r.varint(what + " seq"); err != nil {
-		return s, err
-	}
-	if s.Halted, err = r.bool(what + " halted"); err != nil {
-		return s, err
-	}
-	nm, err := r.count(what+" memory entries", maxMapEntries)
-	if err != nil {
-		return s, err
-	}
-	s.Mem = make(map[int64]int64, hint(nm))
-	for i := 0; i < nm; i++ {
-		a, err := r.varint(what + " memory address")
-		if err != nil {
-			return s, err
-		}
-		v, err := r.varint(what + " memory value")
-		if err != nil {
-			return s, err
-		}
-		s.Mem[a] = v
-	}
-	nf, err := r.count(what+" fp memory entries", maxMapEntries)
-	if err != nil {
-		return s, err
-	}
-	s.FMem = make(map[int64]float64, hint(nf))
-	for i := 0; i < nf; i++ {
-		a, err := r.varint(what + " fp memory address")
-		if err != nil {
-			return s, err
-		}
-		v, err := r.float(what + " fp memory value")
-		if err != nil {
-			return s, err
-		}
-		s.FMem[a] = v
-	}
-	return s, nil
-}
-
-// snapshotDelta reads the v2 checkpoint section. The returned snapshot's
+// snapshotDelta reads a checkpoint section. The returned snapshot's
 // Mem/FMem hold only the delta entries; the tombstone lists name base
 // addresses the checkpoint deleted. Both stay unresolved until LoadPlan
 // binds an image and materializes the full maps.
@@ -703,9 +609,8 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 	if err != nil {
 		return nil, imgHash, err
 	}
-	if version < planMinVersion || version > PlanFileVersion {
-		return nil, imgHash, r.failf("unsupported plan version %d (want %d..%d)",
-			version, planMinVersion, PlanFileVersion)
+	if version != PlanFileVersion {
+		return nil, imgHash, r.failf("unsupported plan version %d (want %d)", version, PlanFileVersion)
 	}
 
 	pl := &Plan{}
@@ -852,23 +757,14 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 		if rep.PilotCluster, err = r.floats("rep cluster pilot column"); err != nil {
 			return nil, imgHash, err
 		}
-		if version >= 2 {
-			var ds repDeltaState
-			if rep.Snap, ds.snapTombs, ds.snapFTombs, err = r.snapshotDelta("rep checkpoint"); err != nil {
-				return nil, imgHash, err
-			}
-			if rep.WarmSnap, ds.warmTombs, ds.warmFTombs, err = r.snapshotDelta("rep warm checkpoint"); err != nil {
-				return nil, imgHash, err
-			}
-			rep.delta = &ds
-		} else {
-			if rep.Snap, err = r.snapshot("rep checkpoint"); err != nil {
-				return nil, imgHash, err
-			}
-			if rep.WarmSnap, err = r.snapshot("rep warm checkpoint"); err != nil {
-				return nil, imgHash, err
-			}
+		var ds repDeltaState
+		if rep.Snap, ds.snapTombs, ds.snapFTombs, err = r.snapshotDelta("rep checkpoint"); err != nil {
+			return nil, imgHash, err
 		}
+		if rep.WarmSnap, ds.warmTombs, ds.warmFTombs, err = r.snapshotDelta("rep warm checkpoint"); err != nil {
+			return nil, imgHash, err
+		}
+		rep.delta = &ds
 		pl.Reps = append(pl.Reps, rep)
 	}
 
@@ -916,15 +812,12 @@ func LoadPlan(data []byte, img *program.Image, maxInsts int64, p Params) (*Plan,
 	if norm := p.Normalize(); pl.Params != norm {
 		return nil, &FormatError{Msg: fmt.Sprintf("params mismatch: plan built for %+v, want %+v", pl.Params, norm)}
 	}
-	// Materialize v2 delta checkpoints against the now-verified image: base
+	// Materialize the delta checkpoints against the now-verified image: base
 	// data, minus tombstones, overlaid with the delta entries — the exact
 	// inverse of snapshotDelta, so a bound plan re-encodes byte-identically.
 	for i := range pl.Reps {
 		rep := &pl.Reps[i]
 		d := rep.delta
-		if d == nil {
-			continue
-		}
 		rep.Snap.Mem = overlayMem(img.Data, rep.Snap.Mem, d.snapTombs)
 		rep.Snap.FMem = overlayFMem(img.FData, rep.Snap.FMem, d.snapFTombs)
 		rep.WarmSnap.Mem = overlayMem(img.Data, rep.WarmSnap.Mem, d.warmTombs)

@@ -154,50 +154,9 @@ func TestPlanFileRoundTrip(t *testing.T) {
 	if key != PlanKey(res.Image, 1<<20, p) {
 		t.Fatal("PlanKey is not deterministic")
 	}
-}
-
-// TestPlanFileV1BackwardCompat: the reader must load genuine v1 bytes (full
-// snapshot maps) to exactly the plan the v2 delta bytes load to, and the
-// content-store key must not move across the format bump — plans persisted
-// before the delta encoding stay warm and stay correct.
-func TestPlanFileV1BackwardCompat(t *testing.T) {
-	res := compileWorkload(t, "dijkstra", 4)
-	p := Default()
-	pl, err := BuildPlan(res.Image, res.Meta, 1<<20, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := encodePlanAt(pl, 1)
-	v2 := EncodePlan(pl)
-	if bytes.Equal(v1, v2) {
-		t.Fatal("v1 and v2 encodings are identical — the delta form is not being exercised")
-	}
-	if len(v2) >= len(v1) {
-		t.Errorf("v2 delta encoding (%d bytes) is not smaller than v1 (%d bytes)", len(v2), len(v1))
-	}
-
-	fromV1, err := LoadPlan(v1, res.Image, 1<<20, p)
-	if err != nil {
-		t.Fatalf("loading v1 bytes: %v", err)
-	}
-	fromV2, err := LoadPlan(v2, res.Image, 1<<20, p)
-	if err != nil {
-		t.Fatalf("loading v2 bytes: %v", err)
-	}
-	// Both loads are bound plans with materialized snapshots; re-encoding
-	// canonicalises them, so byte equality here means the v1 full maps and
-	// the v2 delta reconstruction agree entry for entry.
-	if !bytes.Equal(EncodePlan(fromV1), EncodePlan(fromV2)) {
-		t.Fatal("plan loaded from v1 bytes differs from plan loaded from v2 bytes")
-	}
-
-	// The PlanKey tag is frozen: a format bump must not cold-start stores.
-	key := PlanKey(res.Image, 1<<20, p)
+	// The PlanKey tag is pinned: moving it cold-starts every plan store.
 	if got := planKeyTag; got != "noreba-plan-v1" {
 		t.Fatalf("planKeyTag drifted to %q — this cold-starts every plan store", got)
-	}
-	if len(key) != 64 {
-		t.Fatalf("PlanKey %q is not sha256 hex", key)
 	}
 }
 
@@ -229,13 +188,15 @@ func TestPlanFileStaleness(t *testing.T) {
 		}
 	}
 
-	// A future (or past) format version is rebuilt, not misparsed.
-	stale := append([]byte(nil), data...)
-	stale[len(planMagic)] = PlanFileVersion + 1
-	_, err = LoadPlan(stale, res.Image, 1<<20, p)
-	wantFormatError(t, err, "version bump")
-	if !strings.Contains(err.Error(), "version") {
-		t.Errorf("version mismatch error does not say so: %v", err)
+	// A future or past format version is rebuilt, not misparsed.
+	for _, v := range []byte{PlanFileVersion - 1, PlanFileVersion + 1} {
+		stale := append([]byte(nil), data...)
+		stale[len(planMagic)] = v
+		_, err = LoadPlan(stale, res.Image, 1<<20, p)
+		wantFormatError(t, err, "version bump")
+		if !strings.Contains(err.Error(), "version") {
+			t.Errorf("version %d mismatch error does not say so: %v", v, err)
+		}
 	}
 
 	// A recompiled (different) program must never be served this plan.
@@ -277,12 +238,13 @@ func FuzzPlanFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := EncodePlan(pl)
-	legacy := encodePlanAt(pl, 1) // v1 full-map form: the reader accepts both
+	retired := append([]byte(nil), valid...)
+	retired[len(planMagic)] = PlanFileVersion - 1 // a retired version is refused, not parsed
 	f.Add(valid)
-	f.Add(legacy)
+	f.Add(retired)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:8])
-	f.Add(legacy[:len(legacy)*2/3])
+	f.Add(valid[:len(valid)*2/3])
 	f.Add([]byte(planMagic))
 	f.Add([]byte{})
 	for _, i := range []int{0, len(planMagic), len(planMagic) + 1, len(valid) / 3, len(valid) - 1} {
@@ -290,10 +252,10 @@ func FuzzPlanFile(f *testing.F) {
 		mut[i] ^= 0xFF
 		f.Add(mut)
 	}
-	// Hit the v2 delta sections specifically: the changed-entry and
-	// tombstone counts live in the back half of the file, after the pilot
-	// columns of the first representative.
-	for _, i := range []int{len(valid) * 3 / 4, len(valid) - len(valid)/8, len(legacy) / 2} {
+	// Hit the delta sections specifically: the changed-entry and tombstone
+	// counts live in the back half of the file, after the pilot columns of
+	// the first representative.
+	for _, i := range []int{len(valid) * 3 / 4, len(valid) - len(valid)/8, len(valid) / 2} {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0x55
 		f.Add(mut)

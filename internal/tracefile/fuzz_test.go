@@ -42,7 +42,7 @@ func fuzzSeedBlob(f *testing.F, seed uint64, withMeta bool, trap bool) []byte {
 			f.Fatal("source too short")
 		}
 		last = d
-		if err := tw.WriteInst(d); err != nil {
+		if err := tw.WriteInst(&d); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatalf("rewrite of accepted stream rejected: %v", err)
 		}
 		for _, d := range insts {
-			if err := tw.WriteInst(d); err != nil {
+			if err := tw.WriteInst(&d); err != nil {
 				t.Fatalf("rewrite of accepted record rejected: %v (%+v)", err, d)
 			}
 		}
@@ -143,7 +143,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, d := range insts {
-			if err := tw2.WriteInst(d); err != nil {
+			if err := tw2.WriteInst(&d); err != nil {
 				t.Fatal(err)
 			}
 		}

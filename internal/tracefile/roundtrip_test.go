@@ -92,3 +92,47 @@ func TestRoundTripStatsGenerated(t *testing.T) {
 		})
 	}
 }
+
+// panicNext is a source whose by-value Next must never be reached: the
+// pipeline and every wrapper deliver through NextInto. Embedding promotes
+// the inner source's NextInto, Name, Err and Counts.
+type panicNext struct{ emulator.TraceSource }
+
+func (panicNext) Next() (emulator.DynInst, bool) {
+	panic("Next called: delivery fell back to the by-value path")
+}
+
+// TestRecorderDeliversThroughNextInto: a Recorder drained by a pipeline core
+// forwards NextInto to its source, never the by-value Next, leaves the
+// core's Stats unchanged and records the same bytes as Write.
+func TestRecorderDeliversThroughNextInto(t *testing.T) {
+	w, err := workloads.ByName("CRC32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := compiler.Compile(w.Build(w.DefaultScale/4), compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() emulator.TraceSource { return emulator.NewSource(emulator.New(res.Image), rtBudget) }
+
+	var recorded bytes.Buffer
+	rec, err := tracefile.NewRecorder(panicNext{live()}, &recorded, res.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := simulate(t, rec, res.Meta)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := simulate(t, live(), res.Meta); !reflect.DeepEqual(got, want) {
+		t.Errorf("recorded run Stats differ from a direct run\n got: %+v\nwant: %+v", got, want)
+	}
+	var written bytes.Buffer
+	if err := tracefile.Write(&written, live(), res.Meta); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recorded.Bytes(), written.Bytes()) {
+		t.Errorf("recorder wrote %d bytes, Write %d: streams differ", recorded.Len(), written.Len())
+	}
+}

@@ -173,7 +173,7 @@ func (tw *Writer) varint(v int64) {
 // WriteInst appends one instruction record. Sequence numbers must be
 // strictly increasing and the instruction's op and registers must be valid
 // (every emulator-delivered instruction is).
-func (tw *Writer) WriteInst(d emulator.DynInst) error {
+func (tw *Writer) WriteInst(d *emulator.DynInst) error {
 	if tw.ended {
 		return fmt.Errorf("tracefile: WriteInst after Close")
 	}
@@ -256,12 +256,9 @@ func Write(w io.Writer, src emulator.TraceSource, meta *compiler.Meta) error {
 	if err != nil {
 		return err
 	}
-	for {
-		d, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := tw.WriteInst(d); err != nil {
+	var d emulator.DynInst
+	for src.NextInto(&d) {
+		if err := tw.WriteInst(&d); err != nil {
 			return err
 		}
 	}
@@ -299,24 +296,38 @@ func NewRecorder(src emulator.TraceSource, w io.Writer, meta *compiler.Meta) (*R
 // Name implements emulator.TraceSource.
 func (rec *Recorder) Name() string { return rec.src.Name() }
 
-// Next delivers the underlying source's next instruction, recording it.
+// Next implements emulator.TraceSource over NextInto.
 func (rec *Recorder) Next() (emulator.DynInst, bool) {
-	d, ok := rec.src.Next()
-	if !ok {
-		if !rec.ended {
-			rec.ended = true
-			if err := rec.tw.Close(rec.src.Err()); err != nil && rec.writeErr == nil {
-				rec.writeErr = err
-			}
-		}
-		return d, false
+	var d emulator.DynInst
+	if !rec.NextInto(&d) {
+		return emulator.DynInst{}, false
+	}
+	return d, true
+}
+
+// NextInto delivers the underlying source's next instruction into *d,
+// recording it.
+func (rec *Recorder) NextInto(d *emulator.DynInst) bool {
+	if !rec.src.NextInto(d) {
+		rec.end()
+		return false
 	}
 	if rec.writeErr == nil {
 		if err := rec.tw.WriteInst(d); err != nil {
 			rec.writeErr = err
 		}
 	}
-	return d, true
+	return true
+}
+
+// end writes the end marker once, with the source's terminal state.
+func (rec *Recorder) end() {
+	if !rec.ended {
+		rec.ended = true
+		if err := rec.tw.Close(rec.src.Err()); err != nil && rec.writeErr == nil {
+			rec.writeErr = err
+		}
+	}
 }
 
 // Err implements emulator.TraceSource, reporting the source's terminal
@@ -331,12 +342,7 @@ func (rec *Recorder) Counts() emulator.Counts { return rec.src.Counts() }
 // the consumer stopped early (the source is not exhausted), the records
 // written so far are closed off as a valid — shorter — trace.
 func (rec *Recorder) Close() error {
-	if !rec.ended {
-		rec.ended = true
-		if err := rec.tw.Close(rec.src.Err()); err != nil && rec.writeErr == nil {
-			rec.writeErr = err
-		}
-	}
+	rec.end()
 	return rec.writeErr
 }
 
@@ -373,8 +379,7 @@ type Reader struct {
 
 	prevSeq int64
 	done    bool
-	err     error            // terminal: *emulator.MemError or *FormatError
-	d       emulator.DynInst // NextRef scratch: one record, reused per delivery
+	err     error // terminal: *emulator.MemError or *FormatError
 }
 
 // Open parses the header and returns a reader positioned at the first
@@ -494,137 +499,132 @@ func (rd *Reader) Name() string { return rd.name }
 // Counts implements emulator.TraceSource.
 func (rd *Reader) Counts() emulator.Counts { return rd.counts }
 
-// Err implements emulator.TraceSource: once Next has returned false, it
+// Err implements emulator.TraceSource: once the stream has ended, it
 // reports the stream's terminal state — nil after a clean end marker, the
 // replayed *emulator.MemError after a trap end marker, or a *FormatError if
 // the file was corrupt or truncated.
 func (rd *Reader) Err() error { return rd.err }
 
-// Next implements emulator.TraceSource.
+// Next implements emulator.TraceSource over NextInto.
 func (rd *Reader) Next() (emulator.DynInst, bool) {
-	d, ok := rd.NextRef()
-	if !ok {
+	var d emulator.DynInst
+	if !rd.NextInto(&d) {
 		return emulator.DynInst{}, false
 	}
-	return *d, true
+	return d, true
 }
 
-// NextRef implements emulator.RefSource: the returned record is the
-// reader's decode scratch, valid until the next NextRef or Next call.
-func (rd *Reader) NextRef() (*emulator.DynInst, bool) {
+// NextInto implements emulator.TraceSource, decoding the next record
+// straight into *d.
+func (rd *Reader) NextInto(d *emulator.DynInst) bool {
 	if rd.done {
-		return nil, false
+		return false
 	}
-	d, err := rd.next()
-	if err != nil {
+	if err := rd.decode(d); err != nil {
 		rd.done = true
 		rd.err = err
-		return nil, false
+		return false
 	}
 	if rd.done { // end marker consumed
-		return nil, false
+		return false
 	}
-	rd.d = d
-	rd.counts.Add(&rd.d)
-	return &rd.d, true
+	rd.counts.Add(d)
+	return true
 }
 
-func (rd *Reader) next() (emulator.DynInst, error) {
+// decode reads one record: an instruction into *d, or an end marker (which
+// sets done, and err for a trap end).
+func (rd *Reader) decode(d *emulator.DynInst) error {
 	tag, err := rd.cr.ReadByte()
 	if err != nil {
-		return emulator.DynInst{}, rd.corrupt("missing end-of-stream marker", err)
+		return rd.corrupt("missing end-of-stream marker", err)
 	}
 	switch tag {
 	case tagEnd:
 		rd.done = true
-		return emulator.DynInst{}, nil
+		return nil
 	case tagEndTrap:
 		pc, err := rd.varint("trap pc")
 		if err != nil {
-			return emulator.DynInst{}, err
+			return err
 		}
 		seq, err := rd.varint("trap seq")
 		if err != nil {
-			return emulator.DynInst{}, err
+			return err
 		}
 		addr, err := rd.varint("trap addr")
 		if err != nil {
-			return emulator.DynInst{}, err
+			return err
 		}
 		rd.done = true
 		rd.err = &emulator.MemError{PC: int(pc), Seq: seq, Addr: addr}
-		return emulator.DynInst{}, nil
+		return nil
 	case tagInst:
 	default:
-		return emulator.DynInst{}, rd.corrupt(fmt.Sprintf("unknown record tag %#x", tag), nil)
+		return rd.corrupt(fmt.Sprintf("unknown record tag %#x", tag), nil)
 	}
 
 	seqDelta, err := rd.uvarint("seq delta")
 	if err != nil {
-		return emulator.DynInst{}, err
+		return err
 	}
 	if seqDelta == 0 || seqDelta > 1<<40 {
-		return emulator.DynInst{}, rd.corrupt(fmt.Sprintf("bad seq delta %d", seqDelta), nil)
+		return rd.corrupt(fmt.Sprintf("bad seq delta %d", seqDelta), nil)
 	}
 	pc, err := rd.uvarint("pc")
 	if err != nil {
-		return emulator.DynInst{}, err
+		return err
 	}
 	if pc > 1<<31 {
-		return emulator.DynInst{}, rd.corrupt(fmt.Sprintf("pc %d out of range", pc), nil)
+		return rd.corrupt(fmt.Sprintf("pc %d out of range", pc), nil)
 	}
 	var fields [4]byte
 	if err := rd.cr.readFull(fields[:]); err != nil {
-		return emulator.DynInst{}, rd.corrupt("truncated record", err)
+		return rd.corrupt("truncated record", err)
 	}
-	in := isa.Inst{Op: isa.Op(fields[0]), Rd: isa.Reg(fields[1]), Rs1: isa.Reg(fields[2]), Rs2: isa.Reg(fields[3])}
+	in := &d.Inst
+	*in = isa.Inst{Op: isa.Op(fields[0]), Rd: isa.Reg(fields[1]), Rs1: isa.Reg(fields[2]), Rs2: isa.Reg(fields[3])}
 	if !in.Op.Valid() {
-		return emulator.DynInst{}, rd.corrupt(fmt.Sprintf("invalid op %d", fields[0]), nil)
+		return rd.corrupt(fmt.Sprintf("invalid op %d", fields[0]), nil)
 	}
 	if !in.Rd.Valid() || !in.Rs1.Valid() || !in.Rs2.Valid() {
-		return emulator.DynInst{}, rd.corrupt("out-of-range register", nil)
+		return rd.corrupt("out-of-range register", nil)
 	}
 	if in.Imm, err = rd.varint("immediate"); err != nil {
-		return emulator.DynInst{}, err
+		return err
 	}
 	if in.Aux, err = rd.varint("aux immediate"); err != nil {
-		return emulator.DynInst{}, err
+		return err
 	}
 	target, err := rd.varint("branch target")
 	if err != nil {
-		return emulator.DynInst{}, err
+		return err
 	}
 	if target < 0 || target > 1<<31 {
-		return emulator.DynInst{}, rd.corrupt(fmt.Sprintf("branch target %d out of range", target), nil)
+		return rd.corrupt(fmt.Sprintf("branch target %d out of range", target), nil)
 	}
 	in.Target = int(target)
 	flags, err := rd.cr.ReadByte()
 	if err != nil {
-		return emulator.DynInst{}, rd.corrupt("truncated record", err)
+		return rd.corrupt("truncated record", err)
 	}
 	if flags&^(flagTaken|flagTrap) != 0 {
-		return emulator.DynInst{}, rd.corrupt(fmt.Sprintf("unknown flag bits %#x", flags), nil)
+		return rd.corrupt(fmt.Sprintf("unknown flag bits %#x", flags), nil)
 	}
 	nextDelta, err := rd.varint("next-pc delta")
 	if err != nil {
-		return emulator.DynInst{}, err
+		return err
 	}
-	addr, err := rd.varint("address")
-	if err != nil {
-		return emulator.DynInst{}, err
+	if d.Addr, err = rd.varint("address"); err != nil {
+		return err
 	}
-
-	d := emulator.DynInst{
-		Seq:    rd.prevSeq + int64(seqDelta),
-		PC:     int(pc),
-		Inst:   in,
-		Taken:  flags&flagTaken != 0,
-		NextPC: int(pc) + 1 + int(nextDelta),
-		Addr:   addr,
-		Trap:   flags&flagTrap != 0,
-	}
+	d.Seq = rd.prevSeq + int64(seqDelta)
+	d.PC = int(pc)
+	d.Taken = flags&flagTaken != 0
+	d.NextPC = int(pc) + 1 + int(nextDelta)
+	d.Trap = flags&flagTrap != 0
 	rd.prevSeq = d.Seq
-	return d, nil
+	return nil
 }
 
 func (rd *Reader) uvarint(what string) (uint64, error) {

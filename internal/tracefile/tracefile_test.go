@@ -37,8 +37,34 @@ func dump(t *testing.T, src emulator.TraceSource, meta *compiler.Meta) []byte {
 	return buf.Bytes()
 }
 
+// drainByValue drains src through the by-value Next and requires exactly
+// the records, Counts and Err that a NextInto drain of a twin produced.
+func drainByValue(t *testing.T, src, twin emulator.TraceSource, want []emulator.DynInst) {
+	t.Helper()
+	for i := 0; ; i++ {
+		d, ok := src.Next()
+		if !ok {
+			if i != len(want) {
+				t.Fatalf("Next delivered %d insts, NextInto %d", i, len(want))
+			}
+			if d != (emulator.DynInst{}) {
+				t.Errorf("Next at end of stream returned non-zero %+v", d)
+			}
+			break
+		}
+		if i >= len(want) || d != want[i] {
+			t.Fatalf("Next inst %d differs from NextInto's", i)
+		}
+	}
+	if src.Counts() != twin.Counts() || !reflect.DeepEqual(src.Err(), twin.Err()) {
+		t.Errorf("Next form: counts %+v err %v; NextInto form: counts %+v err %v",
+			src.Counts(), src.Err(), twin.Counts(), twin.Err())
+	}
+}
+
 // TestRoundTripStream: every record of a written trace replays identically,
-// including Name, Counts and the clean terminal state.
+// including Name, Counts and the clean terminal state, whether drained
+// through NextInto or Next.
 func TestRoundTripStream(t *testing.T) {
 	src, meta := genSource(t, 11)
 	ref, refErr := emulator.Materialize(src)
@@ -84,6 +110,12 @@ func TestRoundTripStream(t *testing.T) {
 	if rd.Counts() != want {
 		t.Errorf("counts %+v, want %+v", rd.Counts(), want)
 	}
+
+	byValue, err := Open(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainByValue(t, byValue, rd, got.Insts)
 }
 
 // TestRoundTripMeta: embedded branch metadata survives the trip.
@@ -128,7 +160,7 @@ func TestRoundTripMemError(t *testing.T) {
 			t.Fatal("source too short")
 		}
 		last = d
-		if err := tw.WriteInst(d); err != nil {
+		if err := tw.WriteInst(&d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,15 +173,13 @@ func TestRoundTripMemError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		if _, ok := rd.Next(); !ok {
-			break
-		}
-		n++
+	var insts []emulator.DynInst
+	var d emulator.DynInst
+	for rd.NextInto(&d) {
+		insts = append(insts, d)
 	}
-	if n != 10 {
-		t.Fatalf("replayed %d insts, want 10", n)
+	if len(insts) != 10 {
+		t.Fatalf("replayed %d insts, want 10", len(insts))
 	}
 	var me *emulator.MemError
 	if !errors.As(rd.Err(), &me) {
@@ -158,10 +188,17 @@ func TestRoundTripMemError(t *testing.T) {
 	if !reflect.DeepEqual(me, want) {
 		t.Errorf("got %+v, want %+v", me, want)
 	}
+
+	byValue, err := Open(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainByValue(t, byValue, rd, insts)
 }
 
 // TestRecorderTee: recording while consuming yields the same file as Write,
-// and does not perturb what the consumer sees.
+// and does not perturb what the consumer sees, whether it drains the
+// recorder through NextInto or Next.
 func TestRecorderTee(t *testing.T) {
 	srcA, meta := genSource(t, 6)
 	direct := dump(t, srcA, meta)
@@ -184,6 +221,20 @@ func TestRecorderTee(t *testing.T) {
 	}
 	if tr.Len() == 0 || rec.Name() != srcB.Name() {
 		t.Error("recorder perturbed the consumer view")
+	}
+
+	srcC, _ := genSource(t, 6)
+	var bufC bytes.Buffer
+	recC, err := NewRecorder(srcC, &bufC, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainByValue(t, recC, rec, tr.Insts)
+	if err := recC.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bufC.Bytes(), direct) {
+		t.Error("recorder drained through Next wrote a different file")
 	}
 }
 
@@ -229,10 +280,10 @@ func TestWriterRejects(t *testing.T) {
 	}
 	src, _ := genSource(t, 1)
 	d, _ := src.Next()
-	if err := tw.WriteInst(d); err != nil {
+	if err := tw.WriteInst(&d); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.WriteInst(d); err == nil {
+	if err := tw.WriteInst(&d); err == nil {
 		t.Error("non-increasing seq accepted")
 	}
 	if err := tw.Close(errors.New("not a mem error")); err == nil {
@@ -241,7 +292,7 @@ func TestWriterRejects(t *testing.T) {
 	if err := tw.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.WriteInst(d); err == nil {
+	if err := tw.WriteInst(&d); err == nil {
 		t.Error("WriteInst after Close accepted")
 	}
 	if err := tw.Close(nil); err == nil {

@@ -86,7 +86,9 @@ type (
 	DynTrace = emulator.Trace
 	// TraceSource is a pull-based dynamic instruction stream: the simulator
 	// consumes it through a bounded sliding window, so a live emulator
-	// source runs in O(window) memory instead of O(trace).
+	// source runs in O(window) memory instead of O(trace). NextInto writes
+	// each record into caller-owned storage; Next is its by-value wrapper
+	// for callers that drain a stream one value at a time.
 	TraceSource = emulator.TraceSource
 )
 

@@ -27,6 +27,11 @@ go build ./...
 # per-package timeout leaves too little headroom on a shared box.
 go test -race -timeout 20m ./...
 
+# The ledgerbench benchmark is its own module (ledgerbench/go.mod, replaced
+# onto this tree), so the ./... patterns above skip it. Vet and smoke-test it
+# here so an API change that breaks it fails CI, not the benchmark run.
+(cd ledgerbench && GOPROXY=off go vet ./... && GOPROXY=off go test ./...)
+
 # The service binary must keep building even though nothing above imports it
 # (-o /dev/null: compile check only, no artifact in the repo root).
 go build -o /dev/null ./cmd/noreba-serve
