@@ -2,6 +2,7 @@ package branchpred
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -232,5 +233,17 @@ func TestFoldHistoryMatchesReference(t *testing.T) {
 		tg.Predict(pc)
 		tg.Update(pc, taken)
 		outcomes = append(outcomes, taken)
+	}
+}
+
+// TestTAGEResetMatchesFresh: a trained predictor, once reset, equals a new
+// one field for field.
+func TestTAGEResetMatchesFresh(t *testing.T) {
+	p := NewTAGE()
+	rng := rand.New(rand.NewSource(5))
+	accuracy(p, func(i int) (int, bool) { return rng.Intn(4096), rng.Intn(3) == 0 }, 20000)
+	p.Reset()
+	if !reflect.DeepEqual(p, NewTAGE()) {
+		t.Fatal("a reset TAGE differs from a fresh one")
 	}
 }

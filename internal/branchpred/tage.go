@@ -97,6 +97,18 @@ func NewTAGE() *TAGE {
 	return t
 }
 
+// Reset returns the predictor to the state NewTAGE built while keeping its
+// tables' storage. The tables total about 30 KB, so they are cleared whole.
+func (t *TAGE) Reset() {
+	clear(t.base)
+	for i := range t.tables {
+		clear(t.tables[i])
+	}
+	clear(t.sc)
+	*t.loop = loopPredictor{}
+	*t = TAGE{base: t.base, tables: t.tables, loop: t.loop, sc: t.sc, memoGen: ^uint64(0)}
+}
+
 // foldHistory folds the most recent n history bits into bits output bits:
 // the bits are grouped newest-first into bits-wide chunks (newest bit at
 // each chunk's MSB) and the chunks XORed together, the final partial chunk

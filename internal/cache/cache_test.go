@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func skylakeHierarchy() *Hierarchy {
 	return NewHierarchy(200,
@@ -126,5 +129,27 @@ func TestResetClearsStats(t *testing.T) {
 	}
 	if !h.Levels[0].Contains(0x100) {
 		t.Error("Reset must keep contents")
+	}
+}
+
+// TestClearMatchesFresh: a hierarchy that has run — demand misses and hits,
+// prefetches, a clock shift — and is then cleared is indistinguishable from
+// a freshly built one, and behaves like it.
+func TestClearMatchesFresh(t *testing.T) {
+	h := skylakeHierarchy()
+	for i := int64(0); i < 50000; i++ {
+		addr := (i * 7919 * LineSize) % (8 << 20)
+		h.Access(addr, i)
+		if i%5 == 0 {
+			h.Prefetch(addr+LineSize, i)
+		}
+	}
+	h.ShiftClock(-1000)
+	h.Clear()
+	if fresh := skylakeHierarchy(); !reflect.DeepEqual(h, fresh) {
+		t.Fatal("a cleared hierarchy differs from a fresh one")
+	}
+	if done := h.Access(0x1000, 0); done != 4+12+36+200 {
+		t.Fatalf("first access after Clear done at %d, want a cold miss", done)
 	}
 }

@@ -43,6 +43,13 @@ type Core struct {
 	dcache *cache.Hierarchy
 	icache *cache.Hierarchy
 	dcpt   *prefetch.DCPT
+	pfBuf  []int64 // prefetch candidates of the latest DCPT training
+
+	// own records the recyclable buffers this core allocated or took from
+	// the free list; recycle hands back those the core still uses. spent
+	// marks a core whose run has finished and whose buffers are gone.
+	own   buffers
+	spent bool
 
 	cycle int64
 
@@ -165,10 +172,22 @@ const cancelCheckCycles = 4096
 // be nil (unannotated program). The source is drained incrementally; peak
 // buffering is bounded by the in-flight span and reported in
 // Stats.WindowPeak.
+//
+// The core's caches, predictor and prefetcher tables, window chunks, entry
+// pool and completion wheel come from the free list when an earlier run of
+// the same geometry has returned them (see recycle.go), reset to the state
+// a fresh allocation has; results do not depend on which.
 func NewCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta) *Core {
-	c := newCoreShell(cfg, src, meta)
-	c.dcache = cfg.hierarchy()
-	c.icache = cfg.icache()
+	b := takeBuffers(geometryOf(&cfg))
+	c := newCoreShell(cfg, src, meta, b)
+	if b.dcache != nil {
+		b.dcache.Clear()
+		b.icache.Clear()
+	} else {
+		b.dcache, b.icache = cfg.hierarchy(), cfg.icache()
+	}
+	c.dcache, c.icache = b.dcache, b.icache
+	c.own.dcache, c.own.icache = b.dcache, b.icache
 	c.ras = branchpred.NewRAS(cfg.RASEntries)
 	switch cfg.Predictor {
 	case PredBimodal:
@@ -176,10 +195,20 @@ func NewCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta
 	case PredOracle:
 		c.pred = nil // perfect prediction: fetch uses the trace outcome
 	default:
-		c.pred = branchpred.NewTAGE()
+		if b.tage != nil {
+			b.tage.Reset()
+		} else {
+			b.tage = branchpred.NewTAGE()
+		}
+		c.pred, c.own.tage = b.tage, b.tage
 	}
 	if cfg.PrefetchEnabled {
-		c.dcpt = prefetch.New(cfg.PrefetchTable, cfg.PrefetchDegree)
+		if b.dcpt != nil {
+			b.dcpt.Reset()
+		} else {
+			b.dcpt = prefetch.New(cfg.PrefetchTable, cfg.PrefetchDegree)
+		}
+		c.dcpt, c.own.dcpt = b.dcpt, b.dcpt
 	}
 	return c
 }
@@ -191,14 +220,15 @@ func NewCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta
 // — a window is a few thousand instructions, and allocating a full cache
 // hierarchy per window would dwarf the window itself.
 func NewWarmCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta, ws *WarmState) *Core {
-	c := newCoreShell(cfg, src, meta)
+	c := newCoreShell(cfg, src, meta, &buffers{geo: geometryOf(&cfg)})
 	c.InstallWarmState(ws)
 	return c
 }
 
 // newCoreShell builds everything of a core except the microarchitectural
-// state (caches, predictor, prefetcher, RAS), which the caller supplies.
-func newCoreShell(cfg Config, src emulator.TraceSource, meta *compiler.Meta) *Core {
+// state (caches, predictor, prefetcher, RAS), which the caller supplies. The
+// window chunks, entries and wheel buckets in b, if any, are reused.
+func newCoreShell(cfg Config, src emulator.TraceSource, meta *compiler.Meta, b *buffers) *Core {
 	c := &Core{
 		cfg:  cfg,
 		win:  newWindow(src, cfg.Selective.BITSize),
@@ -207,8 +237,11 @@ func newCoreShell(cfg Config, src emulator.TraceSource, meta *compiler.Meta) *Co
 		// full-miss demand access behind in-flight fills, plus slack for
 		// divider latency and store-forwarding adjustments. It grows on
 		// demand if a configuration exceeds it.
-		wheel: newComplWheel(cfg.L1Lat + cfg.L2Lat + cfg.L3Lat + cfg.MemLat + 64),
+		wheel: newComplWheel(cfg.L1Lat+cfg.L2Lat+cfg.L3Lat+cfg.MemLat+64, b.wheel),
+		own:   buffers{geo: b.geo},
 	}
+	c.win.free = b.chunks
+	c.pool.free = b.entries
 	c.policy = newPolicy(cfg)
 	switch cfg.Policy {
 	case NonSpecOoO:
@@ -257,6 +290,11 @@ func (c *Core) Done() bool { return !c.win.ensure(c.frontierIdx) }
 // Step advances the core by one cycle. The multicore system interleaves
 // Step calls across cores; single-core callers use Run.
 func (c *Core) Step() {
+	if c.spent {
+		// Its in-flight entries still point into record chunks that another
+		// core may own by now; stepping would write into them.
+		panic("pipeline: Step on a core whose run has finished")
+	}
 	c.stepCommit()
 	c.stepComplete()
 	c.stepIssue()
@@ -307,8 +345,25 @@ func (c *Core) emit(kind trace.Kind, e *Entry) {
 	})
 }
 
-// Finalize snapshots end-of-run statistics; Run calls it automatically.
+// Finalize returns a copy of the statistics as of the current cycle, with
+// the cache counters folded in; Run calls it automatically. The copy holds
+// no reference into the core, so keeping it does not keep the core's caches
+// and tables alive. It shares BranchStalls and PipeTrace with the core,
+// which a core that keeps stepping goes on extending; StatsSnapshot is the
+// mid-run form. On a core whose run has finished, Finalize returns the
+// statistics the run ended with.
 func (c *Core) Finalize() *Stats {
+	c.finalize()
+	st := c.stats
+	return &st
+}
+
+// finalize folds the hierarchy counters and window figures into c.stats. A
+// spent core's statistics are already final, and its hierarchies are gone.
+func (c *Core) finalize() {
+	if c.spent {
+		return
+	}
 	c.stats.Cycles = c.cycle
 	c.stats.L1DAccesses = c.dcache.Levels[0].Accesses
 	c.stats.L1DMisses = c.dcache.Levels[0].Misses
@@ -320,7 +375,6 @@ func (c *Core) Finalize() *Stats {
 	c.stats.PrefetchUseful = c.dcache.PrefetchUseful
 	c.stats.WindowPeak = int64(c.win.peak)
 	c.stats.TraceInsts = c.win.counts().Insts
-	return &c.stats
 }
 
 // WarmFunctional drains src through the core's long-lived microarchitectural
@@ -360,7 +414,8 @@ func (c *Core) WarmFunctional(src emulator.TraceSource, insts int64, clock func(
 			// window entered with an untrained prefetcher pays demand misses
 			// the continuous run had already hidden.
 			if c.dcpt != nil {
-				for _, addr := range c.dcpt.Train(d.PC, d.Addr) {
+				c.pfBuf = c.dcpt.Train(d.PC, d.Addr, c.pfBuf[:0])
+				for _, addr := range c.pfBuf {
 					c.dcache.Prefetch(addr, warmCycle)
 				}
 			}
@@ -405,7 +460,8 @@ func (c *Core) FingerprintFunctional(src emulator.TraceSource, visit func(memExt
 				memExtra = extra
 			}
 			if c.dcpt != nil {
-				for _, addr := range c.dcpt.Train(d.PC, d.Addr) {
+				c.pfBuf = c.dcpt.Train(d.PC, d.Addr, c.pfBuf[:0])
+				for _, addr := range c.pfBuf {
 					c.dcache.Prefetch(addr, cycle)
 				}
 			}
@@ -438,7 +494,8 @@ func (c *Core) FingerprintFunctional(src emulator.TraceSource, visit func(memExt
 // state. Finalize recomputes every derived field, so snapshotting mid-run
 // does not disturb a later full finalization.
 func (c *Core) StatsSnapshot() Stats {
-	st := *c.Finalize()
+	c.finalize()
+	st := c.stats
 	st.BranchStalls = nil
 	st.PipeTrace = nil
 	return st
@@ -454,7 +511,9 @@ func (c *Core) CommittedCount() int64 { return c.stats.Committed }
 // the delivered prefix is simulated to completion and the error is returned
 // alongside the statistics. Modelling failures — a sanitizer invariant
 // violation, or a livelocked run — are reported as a *sanity.Error carrying
-// the cycle and invariant name.
+// the cycle and invariant name. Run spends the core: once it returns, the
+// core's buffers serve later cores (see recycle.go), and only Finalize,
+// CommittedCount and SanityErr remain valid on it.
 func (c *Core) Run() (*Stats, error) { return c.RunContext(context.Background()) }
 
 // RunContext is Run with cooperative cancellation: every cancelCheckCycles
@@ -468,36 +527,43 @@ func (c *Core) Run() (*Stats, error) { return c.RunContext(context.Background())
 // report success past its deadline. A background context adds no per-cycle
 // work beyond one nil check.
 func (c *Core) RunContext(ctx context.Context) (*Stats, error) {
+	err := c.runLoop(ctx)
+	st := c.Finalize()
+	c.recycle()
+	return st, err
+}
+
+// runLoop steps the core until the stream has committed or the run fails.
+func (c *Core) runLoop(ctx context.Context) error {
 	done := ctx.Done()
 	deadline, hasDeadline := ctx.Deadline()
 	for !c.Done() {
 		if done != nil && c.cycle%cancelCheckCycles == 0 {
 			select {
 			case <-done:
-				return c.Finalize(), fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
+				return fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
 					c.cycle, context.Cause(ctx))
 			default:
 			}
 			if hasDeadline && !time.Now().Before(deadline) {
-				return c.Finalize(), fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
+				return fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
 					c.cycle, context.DeadlineExceeded)
 			}
 		}
 		if c.cycle > maxCycles {
-			return c.Finalize(), sanity.Errorf("core/livelock", c.cycle,
+			return sanity.Errorf("core/livelock", c.cycle,
 				"exceeded %d cycles at frontier %d with %d instructions pulled (policy %s)",
 				maxCycles, c.frontierIdx, c.win.counts().Insts, c.cfg.Policy)
 		}
 		c.Step()
 		if c.sanErr != nil {
-			return c.Finalize(), c.sanErr
+			return c.sanErr
 		}
 	}
-	st := c.Finalize()
 	if err := c.win.srcErr(); err != nil {
-		return st, fmt.Errorf("pipeline: trace source: %w", err)
+		return fmt.Errorf("pipeline: trace source: %w", err)
 	}
-	return st, nil
+	return nil
 }
 
 // ---- ROB list / scheduler maintenance ----
@@ -1262,7 +1328,8 @@ func (c *Core) loadDone(e *Entry) int64 {
 		})
 	}
 	if c.dcpt != nil {
-		for _, addr := range c.dcpt.Train(e.pc, e.addr) {
+		c.pfBuf = c.dcpt.Train(e.pc, e.addr, c.pfBuf[:0])
+		for _, addr := range c.pfBuf {
 			c.dcache.Prefetch(addr, c.cycle+1)
 		}
 	}

@@ -47,6 +47,24 @@ func (p *entryPool) get() *Entry {
 	return e
 }
 
+// takeAll recycles the dead entries, then hands every pooled entry to the
+// caller and leaves the pool empty. Edge lists keep their capacity across
+// lives, and the slots past their length still name entries of this run,
+// some of them never drained; they are cleared so that a recycled entry
+// does not keep the finished run's in-flight entries alive.
+func (p *entryPool) takeAll(dead []*Entry) []*Entry {
+	for _, e := range dead {
+		p.put(e)
+	}
+	for _, e := range p.free {
+		clear(e.producers[:cap(e.producers)])
+		clear(e.consumers[:cap(e.consumers)])
+	}
+	out := p.free
+	p.free = nil
+	return out
+}
+
 // put recycles e. The caller guarantees no plain-pointer container still
 // holds it; tagged references are invalidated by the generation bump.
 func (p *entryPool) put(e *Entry) {
@@ -69,12 +87,32 @@ type complWheel struct {
 	mask    int64
 }
 
-func newComplWheel(horizon int64) complWheel {
+// newComplWheel builds a wheel covering horizon cycles, reusing a finished
+// core's buckets (see takeBuckets) when they are of the same size.
+func newComplWheel(horizon int64, reuse [][]entryRef) complWheel {
 	size := int64(64)
 	for size < horizon {
 		size <<= 1
 	}
-	return complWheel{buckets: make([][]entryRef, size), mask: size - 1}
+	if int64(len(reuse)) != size {
+		return complWheel{buckets: make([][]entryRef, size), mask: size - 1}
+	}
+	return complWheel{buckets: reuse, mask: size - 1}
+}
+
+// takeBuckets empties every bucket, keeping its capacity, and hands the
+// buckets to the caller. Each bucket is cleared to its capacity: a taken
+// bucket keeps stale references past its length, and left in place they
+// would keep a finished run's entries alive for as long as the buckets are
+// reused.
+func (w *complWheel) takeBuckets() [][]entryRef {
+	for i, b := range w.buckets {
+		clear(b[:cap(b)])
+		w.buckets[i] = b[:0]
+	}
+	out := w.buckets
+	w.buckets = nil
+	return out
 }
 
 // schedule records that e completes at cycle at (= e.doneAt), seen from now.

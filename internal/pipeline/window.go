@@ -270,5 +270,15 @@ func (w *window) release(bound int) {
 	}
 }
 
+// takeChunks hands every chunk the window holds, live or free, to the
+// caller and leaves the window without storage. Chunks need no reset: fill
+// writes every field of a slot before the slot is read.
+func (w *window) takeChunks() []*recChunk {
+	out := append(w.free, w.chunks[w.chead:w.chead+w.cn]...)
+	w.chunks, w.free = nil, nil
+	w.chead, w.cn = 0, 0
+	return out
+}
+
 func (w *window) srcErr() error           { return w.src.Err() }
 func (w *window) counts() emulator.Counts { return w.src.Counts() }

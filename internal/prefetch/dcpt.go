@@ -53,41 +53,51 @@ func (d *DCPT) Clone() *DCPT {
 	return &cp
 }
 
-// Train records a load at pc touching addr and returns the prefetch
-// candidate addresses predicted by delta correlation.
-func (d *DCPT) Train(pc int, addr int64) []int64 {
+// Reset returns the table to the state New built: every entry empty and
+// the statistics zero. The table is a few kilobytes, so it is cleared whole.
+func (d *DCPT) Reset() {
+	clear(d.entries)
+	d.Trained, d.Predicted = 0, 0
+}
+
+// Train records a load at pc touching addr and appends the prefetch
+// candidate addresses predicted by delta correlation to dst, returning the
+// extended slice. Callers pass a reused buffer truncated to zero length, so
+// training allocates nothing once the buffer has grown to the degree.
+func (d *DCPT) Train(pc int, addr int64, dst []int64) []int64 {
 	d.Trained++
 	e := d.slot(pc)
 	if !e.valid || e.pc != pc {
 		*e = entry{pc: pc, lastAddr: addr, valid: true}
-		return nil
+		return dst
 	}
 	delta := addr - e.lastAddr
 	if delta == 0 {
-		return nil
+		return dst
 	}
 	e.lastAddr = addr
 	e.deltas[e.head] = delta
 	e.head = (e.head + 1) % numDeltas
 
-	cands := d.correlate(e, addr)
-	if len(cands) > 0 {
-		e.lastPrefetch = cands[len(cands)-1]
+	n := len(dst)
+	dst = d.correlate(e, addr, dst)
+	if len(dst) > n {
+		e.lastPrefetch = dst[len(dst)-1]
 	}
-	d.Predicted += int64(len(cands))
-	return cands
+	d.Predicted += int64(len(dst) - n)
+	return dst
 }
 
 // correlate searches the delta buffer (newest to oldest) for the most
-// recent earlier occurrence of the two newest deltas, then replays the
-// deltas that followed it.
-func (d *DCPT) correlate(e *entry, addr int64) []int64 {
+// recent earlier occurrence of the two newest deltas, then appends the
+// addresses the deltas that followed it lead to.
+func (d *DCPT) correlate(e *entry, addr int64, dst []int64) []int64 {
 	get := func(i int) int64 { // i = 0 newest
 		return e.deltas[(e.head-1-i+2*numDeltas)%numDeltas]
 	}
 	d1, d2 := get(0), get(1)
 	if d2 == 0 {
-		return nil
+		return dst
 	}
 	// Find the pair (d2, d1) at an older position j (j = index of the d1
 	// element of the matched pair, newest-relative).
@@ -99,12 +109,11 @@ func (d *DCPT) correlate(e *entry, addr int64) []int64 {
 		}
 	}
 	if match == -1 {
-		return nil
+		return dst
 	}
 	// Replay the deltas that followed the match (positions match-1 … 0).
-	var out []int64
 	a := addr
-	for j := match - 1; j >= 0 && len(out) < d.degree; j-- {
+	for j, n := match-1, len(dst); j >= 0 && len(dst)-n < d.degree; j-- {
 		dd := get(j)
 		if dd == 0 {
 			break
@@ -114,7 +123,7 @@ func (d *DCPT) correlate(e *entry, addr int64) []int64 {
 		if a == e.lastPrefetch {
 			continue
 		}
-		out = append(out, a)
+		dst = append(dst, a)
 	}
-	return out
+	return dst
 }

@@ -1,13 +1,16 @@
 package prefetch
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestConstantStridePrediction(t *testing.T) {
 	d := New(128, 4)
 	var got []int64
 	addr := int64(0)
 	for i := 0; i < 10; i++ {
-		got = d.Train(100, addr)
+		got = d.Train(100, addr, nil)
 		addr += 64
 	}
 	if len(got) == 0 {
@@ -34,7 +37,7 @@ func TestAlternatingDeltaPattern(t *testing.T) {
 	var got []int64
 	deltas := []int64{8, 56}
 	for i := 0; i < 12; i++ {
-		got = d.Train(7, addr)
+		got = d.Train(7, addr, nil)
 		addr += deltas[i%2]
 	}
 	if len(got) == 0 {
@@ -61,7 +64,7 @@ func TestNoPredictionWithoutPattern(t *testing.T) {
 	addrs := []int64{0, 100, 250, 370, 1000, 1200, 1900, 2500}
 	var got []int64
 	for _, a := range addrs {
-		got = d.Train(3, a)
+		got = d.Train(3, a, nil)
 	}
 	if len(got) != 0 {
 		t.Errorf("unexpected prefetches %v for pattern-free stream", got)
@@ -71,7 +74,7 @@ func TestNoPredictionWithoutPattern(t *testing.T) {
 func TestZeroDeltaIgnored(t *testing.T) {
 	d := New(128, 4)
 	for i := 0; i < 10; i++ {
-		if got := d.Train(9, 4096); len(got) != 0 {
+		if got := d.Train(9, 4096, nil); len(got) != 0 {
 			t.Fatalf("prefetches %v for repeated same address", got)
 		}
 	}
@@ -82,8 +85,8 @@ func TestEntriesAreIndependentPerPC(t *testing.T) {
 	a1, a2 := int64(0), int64(1<<20)
 	var got1, got2 []int64
 	for i := 0; i < 10; i++ {
-		got1 = d.Train(11, a1)
-		got2 = d.Train(12, a2)
+		got1 = d.Train(11, a1, nil)
+		got2 = d.Train(12, a2, nil)
 		a1 += 64
 		a2 += 128
 	}
@@ -98,14 +101,14 @@ func TestEntriesAreIndependentPerPC(t *testing.T) {
 func TestTableConflictResets(t *testing.T) {
 	d := New(1, 4) // every PC maps to the same entry
 	for i := 0; i < 6; i++ {
-		d.Train(1, int64(i*64))
+		d.Train(1, int64(i*64), nil)
 	}
 	// A different PC steals the entry.
-	if got := d.Train(2, 0); len(got) != 0 {
+	if got := d.Train(2, 0, nil); len(got) != 0 {
 		t.Errorf("stolen entry produced prefetches %v", got)
 	}
 	// The original PC must re-train from scratch without panicking.
-	if got := d.Train(1, 0); len(got) != 0 {
+	if got := d.Train(1, 0, nil); len(got) != 0 {
 		t.Errorf("reset entry produced prefetches %v", got)
 	}
 }
@@ -115,10 +118,23 @@ func TestDegreeLimitsCandidates(t *testing.T) {
 	addr := int64(0)
 	var got []int64
 	for i := 0; i < 14; i++ {
-		got = d.Train(5, addr)
+		got = d.Train(5, addr, nil)
 		addr += 64
 	}
 	if len(got) > 2 {
 		t.Errorf("degree-2 prefetcher produced %d candidates", len(got))
+	}
+}
+
+// TestResetMatchesFresh: a trained table, once reset, equals a new one.
+func TestResetMatchesFresh(t *testing.T) {
+	d := New(128, 4)
+	var buf []int64
+	for i := int64(0); i < 1000; i++ {
+		buf = d.Train(int(i%7), i*64*(i%3+1), buf[:0])
+	}
+	d.Reset()
+	if !reflect.DeepEqual(d, New(128, 4)) {
+		t.Fatal("a reset DCPT differs from a fresh one")
 	}
 }

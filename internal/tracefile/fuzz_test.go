@@ -3,7 +3,9 @@ package tracefile
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
+	"testing/iotest"
 
 	"github.com/noreba-sim/noreba/internal/emulator"
 	"github.com/noreba-sim/noreba/internal/workgen"
@@ -52,12 +54,14 @@ func fuzzSeedBlob(f *testing.F, seed uint64, withMeta bool, trap bool) []byte {
 	return buf.Bytes()
 }
 
-// FuzzTraceRoundTrip holds the reader's two contracts against arbitrary
+// FuzzTraceRoundTrip holds the reader's three contracts against arbitrary
 // bytes: (1) a malformed input fails with a *FormatError naming an in-bounds
 // offset — never a panic, never a silently short stream; (2) an input the
 // reader accepts is canonically re-serializable — writing the decoded stream
 // and reading it back reproduces the stream exactly, and a second rewrite is
-// byte-identical to the first (the writer is a fixed point).
+// byte-identical to the first (the writer is a fixed point); (3) decoding
+// from buffered bytes and decoding byte by byte agree on every record and
+// on the terminal error, offset and message included.
 func FuzzTraceRoundTrip(f *testing.F) {
 	valid := fuzzSeedBlob(f, 1, false, false)
 	f.Add(valid)
@@ -88,6 +92,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			insts = append(insts, d)
 		}
 		terminal := rd.Err()
+		requireSameAsByteWise(t, data, insts, terminal)
 		if terminal != nil {
 			var me *emulator.MemError
 			if errors.As(terminal, &me) {
@@ -164,5 +169,29 @@ func requireFormatError(t *testing.T, err error, data []byte) {
 	}
 	if fe.Offset < 0 || fe.Offset > int64(len(data)) {
 		t.Fatalf("FormatError offset %d outside the %d-byte input", fe.Offset, len(data))
+	}
+}
+
+// requireSameAsByteWise re-reads data through a one-byte reader, which
+// leaves the bufio.Reader holding at most one byte so that every record
+// takes the byte-wise path, and requires the records and terminal error the
+// buffered decode produced.
+func requireSameAsByteWise(t *testing.T, data []byte, insts []emulator.DynInst, terminal error) {
+	t.Helper()
+	rd, err := Open(iotest.OneByteReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatalf("byte-wise open failed where buffered open succeeded: %v", err)
+	}
+	var d emulator.DynInst
+	for i := 0; rd.NextInto(&d); i++ {
+		if i >= len(insts) || d != insts[i] {
+			t.Fatalf("byte-wise record %d differs from the buffered decode", i)
+		}
+	}
+	if got := rd.Counts().Insts; got != int64(len(insts)) {
+		t.Fatalf("byte-wise decode delivered %d records, buffered %d", got, len(insts))
+	}
+	if fmt.Sprint(rd.Err()) != fmt.Sprint(terminal) {
+		t.Fatalf("byte-wise terminal %v, buffered %v", rd.Err(), terminal)
 	}
 }

@@ -362,6 +362,12 @@ func (cr *countingReader) ReadByte() (byte, error) {
 	return b, err
 }
 
+// discard consumes n bytes already inspected through r.Peek.
+func (cr *countingReader) discard(n int) {
+	cr.r.Discard(n)
+	cr.pos += int64(n)
+}
+
 func (cr *countingReader) readFull(p []byte) error {
 	n, err := io.ReadFull(cr.r, p)
 	cr.pos += int64(n)
@@ -380,6 +386,11 @@ type Reader struct {
 	prevSeq int64
 	done    bool
 	err     error // terminal: *emulator.MemError or *FormatError
+
+	// fields receives a record's op and register bytes on the byte-wise
+	// path; a local array would escape through io.ReadFull and allocate
+	// per record.
+	fields [4]byte
 }
 
 // Open parses the header and returns a reader positioned at the first
@@ -532,9 +543,18 @@ func (rd *Reader) NextInto(d *emulator.DynInst) bool {
 	return true
 }
 
+// maxInstRecord bounds the encoded size of one instruction record: the tag,
+// the flags and four op/register bytes, plus seven varints of at most
+// binary.MaxVarintLen64 bytes each.
+const maxInstRecord = 6 + 7*binary.MaxVarintLen64
+
 // decode reads one record: an instruction into *d, or an end marker (which
 // sets done, and err for a trap end).
 func (rd *Reader) decode(d *emulator.DynInst) error {
+	if n := rd.decodeBuffered(d); n > 0 {
+		rd.cr.discard(n)
+		return nil
+	}
 	tag, err := rd.cr.ReadByte()
 	if err != nil {
 		return rd.corrupt("missing end-of-stream marker", err)
@@ -578,8 +598,8 @@ func (rd *Reader) decode(d *emulator.DynInst) error {
 	if pc > 1<<31 {
 		return rd.corrupt(fmt.Sprintf("pc %d out of range", pc), nil)
 	}
-	var fields [4]byte
-	if err := rd.cr.readFull(fields[:]); err != nil {
+	fields := rd.fields[:]
+	if err := rd.cr.readFull(fields); err != nil {
 		return rd.corrupt("truncated record", err)
 	}
 	in := &d.Inst
@@ -625,6 +645,81 @@ func (rd *Reader) decode(d *emulator.DynInst) error {
 	d.Trap = flags&flagTrap != 0
 	rd.prevSeq = d.Seq
 	return nil
+}
+
+// decodeBuffered decodes an instruction record straight from the bytes the
+// bufio.Reader already holds and returns its length, without consuming it.
+// It returns 0, leaving *d and the stream untouched, when the buffer ends
+// inside the record or the record is anything but a well-formed
+// instruction: decode then falls back to the byte-wise path, which reads
+// the same bytes and reports any corruption at its exact offset. Peeking
+// only buffered bytes never triggers a read, so no read error is swallowed.
+func (rd *Reader) decodeBuffered(d *emulator.DynInst) int {
+	n := rd.cr.r.Buffered()
+	if n > maxInstRecord {
+		n = maxInstRecord
+	}
+	buf, _ := rd.cr.r.Peek(n)
+	if len(buf) == 0 || buf[0] != tagInst {
+		return 0
+	}
+	p := 1
+	uvarint := func() (uint64, bool) {
+		v, k := binary.Uvarint(buf[p:])
+		p += k
+		return v, k > 0
+	}
+	varint := func() (int64, bool) {
+		v, k := binary.Varint(buf[p:])
+		p += k
+		return v, k > 0
+	}
+	seqDelta, ok := uvarint()
+	if !ok || seqDelta == 0 || seqDelta > 1<<40 {
+		return 0
+	}
+	pc, ok := uvarint()
+	if !ok || pc > 1<<31 || len(buf) < p+4 {
+		return 0
+	}
+	in := isa.Inst{Op: isa.Op(buf[p]), Rd: isa.Reg(buf[p+1]), Rs1: isa.Reg(buf[p+2]), Rs2: isa.Reg(buf[p+3])}
+	if !in.Op.Valid() || !in.Rd.Valid() || !in.Rs1.Valid() || !in.Rs2.Valid() {
+		return 0
+	}
+	p += 4
+	if in.Imm, ok = varint(); !ok {
+		return 0
+	}
+	if in.Aux, ok = varint(); !ok {
+		return 0
+	}
+	target, ok := varint()
+	if !ok || target < 0 || target > 1<<31 || len(buf) <= p {
+		return 0
+	}
+	in.Target = int(target)
+	flags := buf[p]
+	p++
+	if flags&^(flagTaken|flagTrap) != 0 {
+		return 0
+	}
+	nextDelta, ok := varint()
+	if !ok {
+		return 0
+	}
+	addr, ok := varint()
+	if !ok {
+		return 0
+	}
+	d.Seq = rd.prevSeq + int64(seqDelta)
+	d.PC = int(pc)
+	d.Inst = in
+	d.Taken = flags&flagTaken != 0
+	d.NextPC = int(pc) + 1 + int(nextDelta)
+	d.Addr = addr
+	d.Trap = flags&flagTrap != 0
+	rd.prevSeq = d.Seq
+	return p
 }
 
 func (rd *Reader) uvarint(what string) (uint64, error) {

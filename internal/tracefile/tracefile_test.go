@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/noreba-sim/noreba/internal/compiler"
 	"github.com/noreba-sim/noreba/internal/emulator"
@@ -116,6 +117,35 @@ func TestRoundTripStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainByValue(t, byValue, rd, got.Insts)
+}
+
+// TestReaderDecodesWithoutAllocating: once open, decoding a record
+// allocates nothing, whether it decodes from buffered bytes or byte by byte.
+func TestReaderDecodesWithoutAllocating(t *testing.T) {
+	src, meta := genSource(t, 11)
+	blob := dump(t, src, meta)
+	for _, tc := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"buffered", bytes.NewReader(blob)},
+		{"byte-wise", iotest.OneByteReader(bytes.NewReader(blob))},
+	} {
+		rd, err := Open(tc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d emulator.DynInst
+		const records = 4000 // the stream holds more; AllocsPerRun adds a warm-up call
+		allocs := testing.AllocsPerRun(records, func() {
+			if !rd.NextInto(&d) {
+				t.Fatalf("%s: stream ended early: %v", tc.name, rd.Err())
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: decoding a record makes %.2f allocations, want 0", tc.name, allocs)
+		}
+	}
 }
 
 // TestRoundTripMeta: embedded branch metadata survives the trip.

@@ -52,6 +52,13 @@ sh scripts/cluster_smoke.sh
 # scheduling-order regression can't hide inside the broader suite.
 go test -race -run 'TestEstimateConcurrentDeterminism' ./internal/sampling
 
+# Buffer-recycling determinism: a finished run hands its caches, tables and
+# pools to the next core of the same geometry, and that core must produce
+# the statistics of a run on fresh buffers — one run after another and
+# from concurrent cores, under the race detector. Asserted by name so a
+# reset that misses a field can't hide inside the broader suite.
+go test -race -run 'TestRecycleDeterminism' ./internal/pipeline
+
 # Correctness substrate over the program generator: fifty generated programs
 # under every commit policy (sanitized, differential against the emulator)
 # already ran under the race detector inside `go test -race ./...` above
